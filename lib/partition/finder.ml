@@ -136,7 +136,7 @@ let find_shape_search grid ~volume =
 (* The table argument is lazy so a query whose every shape is rejected
    by the summary never builds or syncs the summed-area table at all —
    the common case for ghost-grid feasibility probes on a busy
-   machine. [Prefix.box_is_free] syncs internally, so force order does
+   machine. [Prefix.base_is_free] syncs internally, so force order does
    not matter for correctness. *)
 let find_prefix_scan ?(gate = true) grid table ~volume =
   let d = Grid.dims grid in
@@ -148,8 +148,8 @@ let find_prefix_scan ?(gate = true) grid table ~volume =
       if (not gate) || shape_possible grid shape then begin
         let tbl = Lazy.force table in
         iter_bases d ~wrap shape ~f:(fun x y z ->
-            let box = Box.make (Coord.make x y z) shape in
-            if Prefix.box_is_free tbl box then acc := box :: !acc)
+            if Prefix.base_is_free tbl ~x ~y ~z shape then
+              acc := Box.make (Coord.make x y z) shape :: !acc)
       end)
     (Shapes.shapes_of_volume d volume);
   sort_boxes !acc
@@ -162,7 +162,7 @@ exception Found_base
 let exists_base_free table d ~wrap shape =
   try
     iter_bases d ~wrap shape ~f:(fun x y z ->
-        if Prefix.box_is_free table (Box.make (Coord.make x y z) shape) then raise Found_base);
+        if Prefix.base_is_free table ~x ~y ~z shape then raise Found_base);
     false
   with Found_base -> true
 
@@ -574,20 +574,20 @@ let select_from_plan plan grid table ~targets =
         let tbl = Lazy.force table in
         for x = 0 to d.nx - 1 do
           if !ti < n_targets && targets.(!ti) < row_end then
-            Array.iter
-              (fun c ->
-                if
-                  x <= c.cx_hi && y <= c.cy_hi && z <= c.cz_hi
-                  && plane_ok c.cz_ok z && plane_ok c.cy_ok y
-                  && Prefix.box_is_free tbl (Box.make (Coord.make x y z) c.cs)
-                then begin
-                  if !ti < n_targets && targets.(!ti) = !rank then begin
-                    acc := Box.make (Coord.make x y z) c.cs :: !acc;
-                    incr ti
-                  end;
-                  incr rank
-                end)
-              plan.p_shapes
+            for ci = 0 to Array.length plan.p_shapes - 1 do
+              let c = plan.p_shapes.(ci) in
+              if
+                x <= c.cx_hi && y <= c.cy_hi && z <= c.cz_hi
+                && plane_ok c.cz_ok z && plane_ok c.cy_ok y
+                && Prefix.base_is_free tbl ~x ~y ~z c.cs
+              then begin
+                if !ti < n_targets && targets.(!ti) = !rank then begin
+                  acc := Box.make (Coord.make x y z) c.cs :: !acc;
+                  incr ti
+                end;
+                incr rank
+              end
+            done
         done
       end;
       rank := row_end

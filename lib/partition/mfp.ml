@@ -6,13 +6,16 @@ exception Found of Box.t
    large for the free count, or rejected by the grid's summary — never
    builds it; ghost-grid probes on a busy full-scale machine hit that
    case constantly. Shape and base order are unchanged from the eager
-   scan, so the returned box is identical. *)
-let search_lazy table grid =
+   scan, so the returned box is identical. Levels above [bound] are
+   skipped like those above the free count: a what-if placement can
+   only shrink the MFP, so its search never needs to look above the
+   MFP it started from. *)
+let search_lazy ~bound table grid =
   if Grid.free_count grid = 0 then None
   else
     let d = Grid.dims grid in
     let wrap = Grid.wrap grid in
-    let free = Grid.free_count grid in
+    let limit = min bound (Grid.free_count grid) in
     let first_free_in shapes =
       try
         Array.iter
@@ -20,8 +23,8 @@ let search_lazy table grid =
             if Finder.shape_possible grid shape then begin
               let tbl = Lazy.force table in
               Finder.iter_bases d ~wrap shape ~f:(fun x y z ->
-                  let box = Box.make (Coord.make x y z) shape in
-                  if Prefix.box_is_free tbl box then raise (Found box))
+                  if Prefix.base_is_free tbl ~x ~y ~z shape then
+                    raise (Found (Box.make (Coord.make x y z) shape)))
             end)
           shapes;
         None
@@ -33,13 +36,12 @@ let search_lazy table grid =
     let rec scan_levels = function
       | [] -> None
       | (volume, shapes) :: rest ->
-          if volume > free then scan_levels rest
+          if volume > limit then scan_levels rest
           else (match first_free_in shapes with Some b -> Some b | None -> scan_levels rest)
     in
     scan_levels (Shapes.levels_desc d)
 
-let search_with table grid = search_lazy (Lazy.from_val table) grid
-let search grid = search_lazy (lazy (Prefix.build grid)) grid
+let search grid = search_lazy ~bound:max_int (lazy (Prefix.build grid)) grid
 
 (* With a cache the search scans the cache's incrementally maintained
    table, and the result is memoised on the occupancy fingerprint via
@@ -53,7 +55,9 @@ let cache_for cache grid =
 let box ?cache grid =
   match cache_for cache grid with
   | None -> search grid
-  | Some c -> Finder.Cache.mfp_cached c ~compute:(fun () -> search_with (Finder.Cache.table c) grid)
+  | Some c ->
+      Finder.Cache.mfp_cached c ~compute:(fun () ->
+          search_lazy ~bound:max_int (Lazy.from_val (Finder.Cache.table c)) grid)
 
 let volume ?cache grid = match box ?cache grid with None -> 0 | Some b -> Box.volume b
 
@@ -61,7 +65,9 @@ let volume ?cache grid = match box ?cache grid with None -> 0 | Some b -> Box.vo
    owners other than its own sentinels, so use a huge positive id. *)
 let probe_owner = max_int
 
-let volume_after ?cache grid candidate =
+(* MFP volume with [candidate] occupied, searching levels up to [bound]
+   only; exact whenever [bound] is at least the MFP before the probe. *)
+let after ?cache ~bound grid candidate =
   let cache = cache_for cache grid in
   Grid.occupy grid candidate ~owner:probe_owner;
   (match cache with Some c -> Finder.Cache.note_box c candidate | None -> ());
@@ -70,17 +76,18 @@ let volume_after ?cache grid candidate =
       Grid.vacate grid candidate ~owner:probe_owner;
       match cache with Some c -> Finder.Cache.note_box c candidate | None -> ())
     (fun () ->
-      match cache with
-      | None -> volume grid
-      | Some c -> (
-          (* Probe states are transient (the vacate in [finally]
-             restores the fingerprint), so bypass the MFP memo slot —
-             it must keep the stable pre-probe result — but do reuse
-             the incremental table: the probe box is noted going in and
-             coming out, so both syncs are dirty-block updates. *)
-          match search_with (Finder.Cache.table c) grid with
-          | None -> 0
-          | Some b -> Box.volume b))
+      (* Probe states are transient (the vacate in [finally] restores
+         the fingerprint), so bypass the MFP memo slot — it must keep
+         the stable pre-probe result — but do reuse the incremental
+         table: the probe box is noted going in and coming out, so
+         both syncs are dirty-block updates. *)
+      let table =
+        match cache with
+        | None -> lazy (Prefix.build grid)
+        | Some c -> Lazy.from_val (Finder.Cache.table c)
+      in
+      match search_lazy ~bound table grid with None -> 0 | Some b -> Box.volume b)
 
-let loss ?cache grid candidate = volume ?cache grid - volume_after ?cache grid candidate
-let loss_given ?cache ~before grid candidate = before - volume_after ?cache grid candidate
+let volume_after ?cache grid candidate = after ?cache ~bound:max_int grid candidate
+let loss_given ?cache ~before grid candidate = before - after ?cache ~bound:before grid candidate
+let loss ?cache grid candidate = loss_given ?cache ~before:(volume ?cache grid) grid candidate

@@ -23,10 +23,6 @@ val volume : ?cache:Finder.Cache.t -> Grid.t -> int
 val box : ?cache:Finder.Cache.t -> Grid.t -> Box.t option
 (** Some maximal free partition (the first in scan order), if any. *)
 
-val search_with : Prefix.t -> Grid.t -> Box.t option
-(** MFP search over a caller-supplied summed-area table (which must
-    reflect the grid's current occupancy). *)
-
 val volume_after : ?cache:Finder.Cache.t -> Grid.t -> Box.t -> int
 (** [volume_after grid candidate] is the MFP volume once [candidate]
     (which must be free) is occupied. The grid is mutated temporarily
@@ -39,4 +35,6 @@ val loss : ?cache:Finder.Cache.t -> Grid.t -> Box.t -> int
 
 val loss_given : ?cache:Finder.Cache.t -> before:int -> Grid.t -> Box.t -> int
 (** Same as {!loss} with the pre-placement MFP volume already known —
-    the schedulers compute it once per scheduling decision. *)
+    the schedulers compute it once per scheduling decision. [before]
+    must be [volume grid]: occupying a node never grows the MFP, so the
+    what-if search skips every level above [before]. *)

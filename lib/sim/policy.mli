@@ -13,8 +13,8 @@ type ctx = {
   now : float;
   grid : Grid.t;
       (** current occupancy; policies may probe it (e.g. via
-          [Mfp.volume_after], which restores the grid) but must leave
-          it unchanged *)
+          [Mfp.loss_given], which occupies a candidate, searches and
+          restores the grid) but must leave it unchanged *)
   cache : Bgl_partition.Finder.Cache.t option;
       (** the engine's finder cache over [grid], when one exists —
           policies should thread it into [Mfp] probes so MFP searches

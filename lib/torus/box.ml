@@ -30,26 +30,20 @@ let canonical (d : Dims.t) ~wrap t =
     in
     { t with base }
 
-(* One-dimensional interval overlap on a ring of size n: the interval
-   [b, b+s) taken modulo n. *)
+let pos_mod a n = ((a mod n) + n) mod n
+
+(* One-dimensional interval overlap on a ring of size n: the intervals
+   [b, b+s) taken modulo n. Two arcs shorter than the ring meet exactly
+   when one starts inside the other, so two offsets decide it. *)
 let ring_overlap n b1 s1 b2 s2 =
-  if s1 >= n || s2 >= n then true
-  else
-    let covered1 = Array.make n false in
-    for i = 0 to s1 - 1 do
-      covered1.((b1 + i) mod n) <- true
-    done;
-    let rec scan i = i < s2 && (covered1.((b2 + i) mod n) || scan (i + 1)) in
-    scan 0
+  s1 >= n || s2 >= n || pos_mod (b2 - b1) n < s1 || pos_mod (b1 - b2) n < s2
 
 let overlap (d : Dims.t) a b =
   ring_overlap d.nx a.base.x a.shape.sx b.base.x b.shape.sx
   && ring_overlap d.ny a.base.y a.shape.sy b.base.y b.shape.sy
   && ring_overlap d.nz a.base.z a.shape.sz b.base.z b.shape.sz
 
-let ring_member n b s v =
-  let off = ((v - b) mod n + n) mod n in
-  off < s
+let ring_member n b s v = pos_mod (v - b) n < s
 
 let member (d : Dims.t) t (c : Coord.t) =
   ring_member d.nx t.base.x t.shape.sx c.x

@@ -65,7 +65,10 @@ let owner t node = if is_free t node then None else Some t.owners.(node)
 
 let box_is_free t box = List.for_all (is_free t) (Box.indices t.dims box)
 
-let occupy_node t node ~owner =
+(* The mutators take the node's coordinates alongside its index so the
+   summary update reads no Coord: a box claim already has them from its
+   own loop, and a single-node claim derives them arithmetically. *)
+let occupy_at t node ~x ~y ~z ~owner =
   if owner < 0 && owner <> down_owner then invalid_arg "Grid.occupy_node: invalid owner id";
   let w = node lsr 5 and bit = 1 lsl (node land 31) in
   let word = Bigarray.Array1.get t.occ w in
@@ -77,9 +80,9 @@ let occupy_node t node ~owner =
   t.free <- t.free - 1;
   t.version <- t.version + 1;
   t.fingerprint <- t.fingerprint lxor node_key node;
-  Summary.occupy t.summary (Coord.of_index t.dims node)
+  Summary.occupy t.summary ~x ~y ~z
 
-let vacate_node t node ~owner =
+let vacate_at t node ~x ~y ~z ~owner =
   let w = node lsr 5 and bit = 1 lsl (node land 31) in
   let word = Bigarray.Array1.get t.occ w in
   let current = if word land bit = 0 then free_marker else t.owners.(node) in
@@ -90,26 +93,46 @@ let vacate_node t node ~owner =
   t.free <- t.free + 1;
   t.version <- t.version + 1;
   t.fingerprint <- t.fingerprint lxor node_key node;
-  Summary.vacate t.summary (Coord.of_index t.dims node)
+  Summary.vacate t.summary ~x ~y ~z
+
+let occupy_node t node ~owner =
+  let d = t.dims in
+  occupy_at t node ~x:(node mod d.nx) ~y:(node / d.nx mod d.ny) ~z:(node / (d.nx * d.ny)) ~owner
+
+let vacate_node t node ~owner =
+  let d = t.dims in
+  vacate_at t node ~x:(node mod d.nx) ~y:(node / d.nx mod d.ny) ~z:(node / (d.nx * d.ny)) ~owner
+
+(* [f node x y z] for every node of the box, wrapped into bounds, in
+   {!Box.cells} order (x fastest), without building the cell list. *)
+let iter_box t (box : Box.t) f =
+  let d = t.dims in
+  let b = box.base and s = box.shape in
+  assert (Coord.in_bounds d b);
+  assert (Shape.fits d s);
+  for dz = 0 to s.sz - 1 do
+    let z = (b.z + dz) mod d.nz in
+    for dy = 0 to s.sy - 1 do
+      let y = (b.y + dy) mod d.ny in
+      for dx = 0 to s.sx - 1 do
+        let x = (b.x + dx) mod d.nx in
+        f (x + (d.nx * (y + (d.ny * z)))) x y z
+      done
+    done
+  done
 
 let occupy t box ~owner =
-  let idx = Box.indices t.dims box in
   (* Validate first so a failed claim leaves the grid unchanged. *)
-  List.iter
-    (fun node ->
+  iter_box t box (fun node _ _ _ ->
       if not (is_free t node) then
-        invalid_arg (Printf.sprintf "Grid.occupy: node %d already owned" node))
-    idx;
-  List.iter (fun node -> occupy_node t node ~owner) idx
+        invalid_arg (Printf.sprintf "Grid.occupy: node %d already owned" node));
+  iter_box t box (fun node x y z -> occupy_at t node ~x ~y ~z ~owner)
 
 let vacate t box ~owner =
-  let idx = Box.indices t.dims box in
-  List.iter
-    (fun node ->
+  iter_box t box (fun node _ _ _ ->
       if is_free t node || t.owners.(node) <> owner then
-        invalid_arg (Printf.sprintf "Grid.vacate: node %d not owned by %d" node owner))
-    idx;
-  List.iter (fun node -> vacate_node t node ~owner) idx
+        invalid_arg (Printf.sprintf "Grid.vacate: node %d not owned by %d" node owner));
+  iter_box t box (fun node x y z -> vacate_at t node ~x ~y ~z ~owner)
 
 let iter_owned t f =
   let n = volume t in

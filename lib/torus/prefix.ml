@@ -186,6 +186,10 @@ let is_stale t =
   | None -> false
   | Some tr -> Grid.version tr.grid <> tr.seen_version
 
+(* Indices are spelled out rather than read through a local accessor:
+   without flambda (the dev profile builds with [-opaque] and none) that
+   closure is allocated on every call, and this is the probe every scan
+   issues per base. *)
 let occupied_in_range t ~x0 ~y0 ~z0 ~sx ~sy ~sz =
   sync t;
   let x1 = x0 + sx and y1 = y0 + sy and z1 = z0 + sz in
@@ -193,17 +197,20 @@ let occupied_in_range t ~x0 ~y0 ~z0 ~sx ~sy ~sz =
     invalid_arg "Prefix.occupied_in_range: box exceeds table (wraparound disabled?)";
   let stride_y = t.ex + 1 in
   let stride_z = stride_y * (t.ey + 1) in
-  let at i j k = t.cum.(i + (stride_y * j) + (stride_z * k)) in
-  at x1 y1 z1
-  - at x0 y1 z1 - at x1 y0 z1 - at x1 y1 z0
-  + at x0 y0 z1 + at x0 y1 z0 + at x1 y0 z0
-  - at x0 y0 z0
+  let cum = t.cum in
+  let j0 = stride_y * y0 and j1 = stride_y * y1 in
+  let k0 = stride_z * z0 and k1 = stride_z * z1 in
+  cum.(x1 + j1 + k1)
+  - cum.(x0 + j1 + k1) - cum.(x1 + j0 + k1) - cum.(x1 + j1 + k0)
+  + cum.(x0 + j0 + k1) + cum.(x0 + j1 + k0) + cum.(x1 + j0 + k0)
+  - cum.(x0 + j0 + k0)
+
+let base_is_free t ~x ~y ~z (s : Shape.t) =
+  occupied_in_range t ~x0:x ~y0:y ~z0:z ~sx:s.sx ~sy:s.sy ~sz:s.sz = 0
 
 let occupied_in_box t (box : Box.t) =
   let b = box.base and s = box.shape in
   occupied_in_range t ~x0:b.x ~y0:b.y ~z0:b.z ~sx:s.sx ~sy:s.sy ~sz:s.sz
-
-let box_is_free t box = occupied_in_box t box = 0
 
 let equal a b =
   sync a;

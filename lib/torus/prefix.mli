@@ -64,7 +64,10 @@ val occupied_in_range : t -> x0:int -> y0:int -> z0:int -> sx:int -> sy:int -> s
     Extents may reach into the doubled wraparound space (up to
     [2*dim - 1] per axis), like any wrapped box. *)
 
-val box_is_free : t -> Box.t -> bool
+val base_is_free : t -> x:int -> y:int -> z:int -> Shape.t -> bool
+(** Whether the box of the shape based at [(x, y, z)] is free, without
+    allocating the box. Scans probe every base through this and build
+    a {!Box.t} only for a base that is free. *)
 
 val equal : t -> t -> bool
 (** Whether two (synced) tables encode identical cumulative sums over

@@ -76,19 +76,16 @@ let copy t =
 
 let version t = t.version
 
-let block_index t (c : Coord.t) =
-  (c.x / t.block) + (t.bx * ((c.y / t.block) + (t.by * (c.z / t.block))))
-
-let update t (c : Coord.t) delta =
-  t.free_x.(c.x) <- t.free_x.(c.x) + delta;
-  t.free_y.(c.y) <- t.free_y.(c.y) + delta;
-  t.free_z.(c.z) <- t.free_z.(c.z) + delta;
-  let b = block_index t c in
+let update t ~x ~y ~z delta =
+  t.free_x.(x) <- t.free_x.(x) + delta;
+  t.free_y.(y) <- t.free_y.(y) + delta;
+  t.free_z.(z) <- t.free_z.(z) + delta;
+  let b = (x / t.block) + (t.bx * ((y / t.block) + (t.by * (z / t.block)))) in
   t.blocks.(b) <- t.blocks.(b) + delta;
   t.version <- t.version + 1
 
-let occupy t c = update t c (-1)
-let vacate t c = update t c 1
+let occupy t ~x ~y ~z = update t ~x ~y ~z (-1)
+let vacate t ~x ~y ~z = update t ~x ~y ~z 1
 
 let slab_free t ~axis i =
   match axis with `X -> t.free_x.(i) | `Y -> t.free_y.(i) | `Z -> t.free_z.(i)
@@ -173,13 +170,18 @@ let rebuild_bcum t ~wrap =
 (* A box of shape s spans at most ceil(s/B)+1 blocks per axis (one for
    each full stripe plus the two clipped ends), so if no block window of
    that many blocks holds [volume s] free nodes anywhere, no placement
-   can either. *)
+   can either. That count assumes every block the box crosses is B wide.
+   When the axis extent n is not a multiple of B its last block is
+   narrower, and under wrap a box can run through that clipped block
+   and on into block 0, which costs one block more: ceil(s/B)+2. *)
 let block_window_ok t ~wrap (s : Shape.t) =
   let vol = Shape.volume s in
-  let span extent grid_blocks =
-    min grid_blocks (((extent + t.block - 1) / t.block) + 1)
+  let d = t.dims in
+  let span extent n grid_blocks =
+    let seam = if wrap && n mod t.block <> 0 then 1 else 0 in
+    min grid_blocks (((extent + t.block - 1) / t.block) + 1 + seam)
   in
-  let wx = span s.sx t.bx and wy = span s.sy t.by and wz = span s.sz t.bz in
+  let wx = span s.sx d.nx t.bx and wy = span s.sy d.ny t.by and wz = span s.sz d.nz t.bz in
   let ebx = if wrap then 2 * t.bx else t.bx in
   let eby = if wrap then 2 * t.by else t.by in
   let sy = ebx + 1 in

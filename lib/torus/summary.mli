@@ -17,11 +17,11 @@ val create : Dims.t -> t
 
 val copy : t -> t
 
-val occupy : t -> Coord.t -> unit
-(** Record that the cell just became occupied. *)
+val occupy : t -> x:int -> y:int -> z:int -> unit
+(** Record that the cell at [(x, y, z)] just became occupied. *)
 
-val vacate : t -> Coord.t -> unit
-(** Record that the cell just became free. *)
+val vacate : t -> x:int -> y:int -> z:int -> unit
+(** Record that the cell at [(x, y, z)] just became free. *)
 
 val version : t -> int
 (** Number of updates applied; {!copy} carries it over. *)

@@ -667,6 +667,176 @@ let test_counted_agrees_at_scale () =
   Grid.occupy g (Box.make (Coord.make 0 0 8) (Shape.make 8 8 8)) ~owner:3;
   check_all_volumes ()
 
+(* ------------------------------------------------------------------ *)
+(* Summary-gated tori with extents that are not multiples of the
+   summary's 8-node block. A wrapped box can run through the clipped
+   last block and on into block 0, so it spans one block more than a
+   box on a multiple-of-8 axis. Random-fraction occupancy almost never
+   leaves such a box as the only free space, so these properties build
+   a full machine minus k free boxes, some of them across the seam. *)
+
+(* Regression: a 14x1x1 strip wrapping x = 15..27 -> 0 on a full 28x8x8
+   torus crosses blocks 1, 2, 3 (the clipped one, 4 wide) and 0, one more than the
+   ceil(14/8)+1 the gate used to allow. *)
+let test_gate_wrapped_clipped_block () =
+  let d = Dims.make 28 8 8 in
+  let g = Grid.create d in
+  let strip = Box.make (Coord.make 15 0 0) (Shape.make 14 1 1) in
+  for node = 0 to Dims.volume d - 1 do
+    if not (Box.member d strip (Coord.of_index d node)) then Grid.occupy_node g node ~owner:1
+  done;
+  check_bool "gate admits the strip's shape" true
+    (Summary.shape_feasible (Grid.summary g) ~wrap:true strip.shape);
+  check_bool "strip is free" true (Prefix.base_is_free (Prefix.build g) ~x:15 ~y:0 ~z:0 strip.shape);
+  Alcotest.check boxes "prefix finder finds the strip" [ strip ] (Finder.find Finder.Prefix g ~volume:14);
+  check_int "cached count finds the strip" 1 (Finder.Cache.count (Finder.Cache.create g) ~volume:14);
+  check_int "MFP is the strip" 14 (Mfp.volume g)
+
+let gated_dims_gen =
+  let extent = QCheck.Gen.int_range 5 30 in
+  let rec gen st =
+    let d = Dims.make (extent st) (extent st) (extent st) in
+    if Dims.volume d >= 512 (* the summary-gating threshold *) then d else gen st
+  in
+  gen
+
+(* With wrap, each axis of a free box flips a coin to put its base close
+   enough to the upper edge that the box crosses the seam. *)
+let free_box_gen (d : Dims.t) ~wrap =
+  let open QCheck.Gen in
+  let axis n =
+    int_range 1 (min n 10) >>= fun e ->
+    if not wrap then map (fun b -> (b, e)) (int_range 0 (n - e))
+    else
+      bool >>= fun seam ->
+      if seam && e > 1 then map (fun b -> (b, e)) (int_range (max 0 (n - e + 1)) (n - 1))
+      else map (fun b -> (b, e)) (int_range 0 (n - 1))
+  in
+  map3
+    (fun (x, sx) (y, sy) (z, sz) -> Box.make (Coord.make x y z) (Shape.make sx sy sz))
+    (axis d.nx) (axis d.ny) (axis d.nz)
+
+let gated_scenario_gen =
+  let open QCheck.Gen in
+  gated_dims_gen >>= fun d ->
+  bool >>= fun wrap ->
+  int_range 1 3 >>= fun k -> map (fun bs -> (d, wrap, bs)) (list_repeat k (free_box_gen d ~wrap))
+
+let print_gated (d, wrap, bs) =
+  Format.asprintf "dims=%s wrap=%b free boxes=%a" (Dims.to_string d) wrap
+    Format.(pp_print_list ~pp_sep:pp_print_space Box.pp)
+    bs
+
+let arb_gated = QCheck.make ~print:print_gated gated_scenario_gen
+
+let build_gated (d, wrap, bs) =
+  let g = Grid.create ~wrap d in
+  for node = 0 to Dims.volume d - 1 do
+    let c = Coord.of_index d node in
+    if not (List.exists (fun b -> Box.member d b c) bs) then Grid.occupy_node g node ~owner:1
+  done;
+  g
+
+(* Every free box, grown from every free base on a fresh, ungated
+   table: freeness is monotone in each extent, so each axis loop stops
+   at its first occupied box. Returns the largest free volume and the
+   distinct shapes that have a free base. *)
+let free_box_census g =
+  let d = Grid.dims g and wrap = Grid.wrap g in
+  let table = Prefix.build g in
+  let fits e b n = if wrap then e <= n else b + e <= n in
+  let free (c : Coord.t) sx sy sz = Prefix.base_is_free table ~x:c.x ~y:c.y ~z:c.z (Shape.make sx sy sz) in
+  let best = ref 0 and shapes = Hashtbl.create 64 in
+  for node = 0 to Dims.volume d - 1 do
+    if Grid.is_free g node then begin
+      let c = Coord.of_index d node in
+      let sx = ref 1 in
+      while fits !sx c.x d.nx && free c !sx 1 1 do
+        let sy = ref 1 in
+        while fits !sy c.y d.ny && free c !sx !sy 1 do
+          let sz = ref 1 in
+          while fits !sz c.z d.nz && free c !sx !sy !sz do
+            best := max !best (!sx * !sy * !sz);
+            Hashtbl.replace shapes (Shape.make !sx !sy !sz) ();
+            incr sz
+          done;
+          incr sy
+        done;
+        incr sx
+      done
+    end
+  done;
+  (!best, Hashtbl.fold (fun s () acc -> s :: acc) shapes [])
+
+let with_differential f =
+  Finder.set_differential true;
+  Fun.protect ~finally:(fun () -> Finder.set_differential false) f
+
+let prop_gate_sound_on_odd_tori =
+  QCheck.Test.make ~name:"gated odd-extent tori: gate sound, counted paths exact, MFP exact"
+    ~count:60 arb_gated (fun ((_, wrap, bs) as sc) ->
+      let g = build_gated sc in
+      let mfp, shapes = free_box_census g in
+      let summary = Grid.summary g in
+      List.for_all (fun s -> Summary.shape_feasible summary ~wrap s) shapes
+      && with_differential (fun () ->
+             (* Any Divergence raised here fails the property. *)
+             let cache = Finder.Cache.create g in
+             List.iter
+               (fun volume ->
+                 ignore (Finder.Cache.count cache ~volume);
+                 ignore (Finder.Cache.select cache ~volume ~cap:24))
+               (List.sort_uniq Int.compare (1 :: mfp :: List.map Box.volume bs));
+             Mfp.volume g = mfp && Mfp.volume ~cache g = mfp))
+
+(* The bounded what-if search behind Placement's L_MFP term must equal
+   the MFP drop measured on an independent copy of the grid. Job-like
+   occupancy (random boxes) at the paper's 4x4x8 and at a gated odd
+   size, both torus modes, with and without a cache. *)
+let loss_scenario_gen =
+  QCheck.Gen.(
+    quad (oneofl [ Dims.bgl; Dims.make 9 7 9 ]) bool (int_range 0 9999) (int_range 1 16))
+
+let build_jobs (d, wrap, seed, _) =
+  let rng = Bgl_stats.Rng.create ~seed in
+  let g = Grid.create ~wrap d in
+  for owner = 1 to Bgl_stats.Rng.int rng 40 do
+    let e n = 1 + Bgl_stats.Rng.int rng (min n 4) in
+    let s = Shape.make (e d.Dims.nx) (e d.ny) (e d.nz) in
+    let hi e n = if wrap then n else n - e + 1 in
+    let base =
+      Coord.make (Bgl_stats.Rng.int rng (hi s.sx d.nx)) (Bgl_stats.Rng.int rng (hi s.sy d.ny))
+        (Bgl_stats.Rng.int rng (hi s.sz d.nz))
+    in
+    let b = Box.make base s in
+    if Grid.box_is_free g b then Grid.occupy g b ~owner
+  done;
+  g
+
+let arb_loss =
+  QCheck.make
+    ~print:(fun (d, wrap, seed, v) ->
+      Printf.sprintf "dims=%s wrap=%b seed=%d volume=%d" (Dims.to_string d) wrap seed v)
+    loss_scenario_gen
+
+let prop_loss_given_exact =
+  QCheck.Test.make ~name:"loss_given equals the MFP drop on an occupied copy" ~count:150 arb_loss
+    (fun ((_, _, seed, volume) as sc) ->
+      let g = build_jobs sc in
+      let candidates = Finder.select g ~volume ~cap:8 in
+      match candidates with
+      | [] -> true
+      | _ ->
+          let c = List.nth candidates (seed mod List.length candidates) in
+          let g' = Grid.copy g in
+          Grid.occupy g' c ~owner:max_int;
+          let expected = Mfp.volume g - Mfp.volume g' in
+          let fp = Grid.fingerprint g in
+          let cache = Finder.Cache.create g in
+          Mfp.loss_given ~before:(Mfp.volume g) g c = expected
+          && Mfp.loss_given ~cache ~before:(Mfp.volume ~cache g) g c = expected
+          && Grid.fingerprint g = fp)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -683,6 +853,8 @@ let props =
       prop_cache_mfp_agrees;
       prop_count_equals_find_length;
       prop_select_equals_capped_find;
+      prop_gate_sound_on_odd_tori;
+      prop_loss_given_exact;
     ]
 
 let () =
@@ -714,6 +886,7 @@ let () =
           tc "gating never changes results" test_gated_find_agrees_at_scale;
           tc "counted enumeration edges" test_counted_edges;
           tc "counted agrees above the gate" test_counted_agrees_at_scale;
+          tc "gate admits a box through the clipped block" test_gate_wrapped_clipped_block;
         ] );
       ( "cache",
         [

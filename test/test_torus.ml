@@ -571,6 +571,41 @@ let props =
       prop_fingerprint_tracks_occupancy;
     ]
 
+(* The scan kernels probe once per base, so a probe that allocates is
+   paid millions of times per run. Each one must stay allocation-free
+   in the build the tests run in, the unoptimised dev profile. *)
+let minor_words_per_call f =
+  let n = 10_000 in
+  f 0;
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_probes_allocation_free () =
+  let d = Dims.make 9 7 9 in
+  let g = Grid.create d in
+  Grid.occupy g (Box.make (Coord.make 7 5 1) (Shape.make 3 3 2)) ~owner:1;
+  let t = Prefix.track g in
+  let s = Shape.make 3 2 4 in
+  let a = Box.make (Coord.make 8 6 8) (Shape.make 2 2 2) in
+  let b = Box.make (Coord.make 0 0 0) (Shape.make 2 3 1) in
+  let check name words =
+    check_bool (Printf.sprintf "%s: %.3f minor words per call" name words) true (words < 1.)
+  in
+  check "Prefix.occupied_in_range"
+    (minor_words_per_call (fun i ->
+         ignore
+           (Sys.opaque_identity
+              (Prefix.occupied_in_range t ~x0:(i mod 9) ~y0:(i mod 7) ~z0:0 ~sx:3 ~sy:2 ~sz:4))));
+  check "Prefix.base_is_free"
+    (minor_words_per_call (fun i ->
+         ignore (Sys.opaque_identity (Prefix.base_is_free t ~x:(i mod 9) ~y:0 ~z:(i mod 9) s))));
+  check "Box.overlap"
+    (minor_words_per_call (fun i ->
+         ignore (Sys.opaque_identity (Box.overlap d (if i land 1 = 0 then a else b) a))))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "bgl_torus"
@@ -614,6 +649,7 @@ let () =
           tc "matches direct counts" test_prefix_matches_direct;
           tc "incremental tracking" test_prefix_track_incremental;
           tc "self-heals on unnoted changes" test_prefix_track_self_heals;
+          tc "probes allocate nothing" test_probes_allocation_free;
         ] );
       ( "summary",
         [
